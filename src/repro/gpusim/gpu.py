@@ -24,8 +24,10 @@ Co-run policies model the co-running interfaces of Section VIII-G:
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from ..audit import core as audit
@@ -44,6 +46,17 @@ from .warp import WarpProgram
 #: extrapolated linearly — exact in steady state, and within a couple of
 #: percent even with warm-up effects included.
 SIM_ITERATION_CAP = 96
+
+
+def launch_digest(launch: "KernelLaunch") -> str:
+    """Digest of one concrete launch (template, grid, PTB form, all of it).
+
+    ``KernelLaunch`` is a tree of frozen dataclasses whose ``repr`` is
+    deterministic — including exact float reprs — so the digest changes
+    whenever anything the simulator reads changes.  The text is part of
+    the duration oracle's persisted store keys and must never change.
+    """
+    return hashlib.sha256(repr(launch).encode()).hexdigest()[:20]
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,24 @@ class KernelLaunch:
     @property
     def is_persistent(self) -> bool:
         return self.persistent_blocks_per_sm is not None
+
+    @cached_property
+    def signature(self) -> str:
+        """:func:`launch_digest` of this launch, computed once per object.
+
+        Hashing the ``repr`` walks the whole warp-program tree, so the
+        oracle's memo lookups would otherwise cost far more than the
+        memo saves.  The launch is immutable, which makes the cached
+        value exact; it lives outside the dataclass fields, so ``repr``
+        and ``==`` ignore it, and :meth:`__getstate__` drops it from
+        pickles.
+        """
+        return launch_digest(self)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("signature", None)
+        return state
 
     def with_grid(self, grid_blocks: int) -> "KernelLaunch":
         """The same kernel on a different amount of work."""

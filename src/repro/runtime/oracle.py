@@ -16,6 +16,14 @@ offline.  A store entry is invalidated automatically when either the
 GPU config or the kernel's launch shape changes, because both are part
 of the key; files written by older schema versions or corrupted files
 are ignored wholesale.
+
+Memo hits must stay cheap next to what they save.  Co-run lookups are
+keyed by launch signatures (:attr:`KernelLaunch.signature`, a digest of
+the launch's whole ``repr``), which each ``KernelLaunch`` object
+computes at most once and then caches — so a hit is O(1) only for a
+caller that reuses its launch objects, as the ``hfuse`` policy does.
+The ``spatial`` policy still rebuilds its launches per decision and pays
+one digest per lookup.
 """
 
 from __future__ import annotations
@@ -62,24 +70,6 @@ def _fingerprint(gpu: GPUConfig) -> str:
 def _kernel_signature(kernel: KernelIR) -> str:
     """Digest of the launch shape: changing the kernel changes the key."""
     return hashlib.sha256(repr(kernel).encode()).hexdigest()[:16]
-
-
-def _launch_signature(launch: KernelLaunch) -> str:
-    """Digest of one concrete launch (template, grid, PTB form, all of it).
-
-    ``KernelLaunch`` is a tree of frozen dataclasses whose ``repr`` is
-    deterministic — including exact float reprs — so the digest changes
-    whenever anything the simulator reads changes.
-    """
-    return hashlib.sha256(repr(launch).encode()).hexdigest()[:20]
-
-
-def _fused_signature(fused: FusedKernel) -> str:
-    payload = (
-        f"{fused.name}|{_kernel_signature(fused.tc.ir)}"
-        f"|{_kernel_signature(fused.cd.ir)}"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def persistence_enabled() -> bool:
@@ -234,11 +224,18 @@ class DurationOracle:
     def _solo_store_key(self, kernel: KernelIR, grid: int) -> str:
         return f"{kernel.name}|{self._signature(kernel)}|{grid}"
 
+    def _fused_signature(self, fused: FusedKernel) -> str:
+        payload = (
+            f"{fused.name}|{self._signature(fused.tc.ir)}"
+            f"|{self._signature(fused.cd.ir)}"
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
     def _fused_store_key(
         self, fused: FusedKernel, flavor: str, tc_grid: int, cd_grid: int
     ) -> str:
         return (
-            f"{fused.name}|{_fused_signature(fused)}|{flavor}"
+            f"{fused.name}|{self._fused_signature(fused)}|{flavor}"
             f"|{tc_grid}|{cd_grid}"
         )
 
@@ -251,7 +248,7 @@ class DurationOracle:
         candidates and model-training sweeps all reduce to it, so their
         simulations persist across processes like everything else.
         """
-        key = _launch_signature(launch)
+        key = launch.signature
         cached = self._launches.get(key)
         if cached is not None:
             self.hits += 1
@@ -418,11 +415,16 @@ class DurationOracle:
         grid share.  Entries persist in the store alongside fused
         co-runs, so policy sweeps (Fig. 20 and the co-location
         baselines) skip re-simulation across processes.
+
+        Each launch object computes its signature once, so repeat
+        lookups with the *same* launch objects are O(1) hits; a caller
+        that rebuilds equal launches per call pays one ``repr`` digest
+        per fresh object.
         """
         if policy not in self._POLICIES:
             raise KeyError(f"unknown co-run policy {policy!r}")
         extra = repr(sorted(params.items()))
-        key = (policy, _launch_signature(a), _launch_signature(b), extra)
+        key = (policy, a.signature, b.signature, extra)
         cached = self._fused.get(key)
         if cached is not None:
             self.hits += 1

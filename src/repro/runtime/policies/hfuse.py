@@ -24,6 +24,8 @@ from typing import Optional
 
 from ...config import GPUConfig
 from ...errors import TackerError
+from ...fusion.ptb import PTBKernel
+from ...gpusim.gpu import KernelLaunch
 from ...predictor.online import OnlineModelManager
 from ..query import KernelInstance
 from .base import QOS_GUARD, Action, MispredictGuard, SchedulerPolicy
@@ -50,24 +52,33 @@ class HFusePolicy(SchedulerPolicy):
         guard: Optional[MispredictGuard] = None,
     ):
         """``ptb`` maps a kernel name to its cached PTB transform (the
-        bound :meth:`TackerSystem.ptb`); kernels the transform rejects
-        are remembered and never retried."""
+        bound :meth:`TackerSystem.ptb`); it is asked once per kernel
+        name, and kernels the transform rejects are never retried."""
         super().__init__(gpu, models, qos_ms, qos_guard=qos_guard,
                          guard=guard)
         self.oracle = oracle
         self._ptb = ptb
-        self._unfusable: set[str] = set()
+        #: kernel name -> PTB transform, None when the transform rejects it
+        self._transforms: dict[str, Optional[PTBKernel]] = {}
+        #: (kernel name, grid) -> PTB launch, None for rejected kernels.
+        #: Reusing one launch object per shape lets the oracle's co-run
+        #: lookups hit on the launch's cached signature.
+        self._launches: dict[tuple[str, int], Optional[KernelLaunch]] = {}
 
     def _persistent_launch(self, instance: KernelInstance):
         """The instance's PTB launch, or None when untransformable."""
-        if instance.name in self._unfusable:
-            return None
-        try:
-            kernel = self._ptb(instance.name)
-        except TackerError:
-            self._unfusable.add(instance.name)
-            return None
-        return kernel.launch(instance.grid)
+        key = (instance.name, instance.grid)
+        if key in self._launches:
+            return self._launches[key]
+        if instance.name not in self._transforms:
+            try:
+                self._transforms[instance.name] = self._ptb(instance.name)
+            except TackerError:
+                self._transforms[instance.name] = None
+        kernel = self._transforms[instance.name]
+        launch = None if kernel is None else kernel.launch(instance.grid)
+        self._launches[key] = launch
+        return launch
 
     def _hfused_action(self, be_apps, thr_ms):
         """The first rotation pair that genuinely co-resides and fits.
