@@ -21,7 +21,11 @@ soon as the two diverge.  The invariants:
   exactly one of the lc/be/fused counters;
 * **guard-ladder** — degradation transitions are adjacent (fuse ↔
   reorder ↔ exclusive, never a skip) and each recorded transition
-  respected its risk rail, including the hysteresis band.
+  respected its risk rail, including the hysteresis band;
+* **decide-reference-twin** — every :data:`TWIN_EVERY`-th decision of a
+  policy with a reference twin (``reference_decision``, the Tacker
+  family) is recomputed by the twin, side-effect free, from the same
+  state, and the table path's action must match it field for field.
 
 The module is import-light on purpose: the policy and result objects
 are duck-typed, so :mod:`repro.runtime` can import the auditor without
@@ -30,9 +34,13 @@ a cycle.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from . import core
+
+#: The reference twin recomputes every Nth decision (the first included).
+TWIN_EVERY = 64
 
 #: Guard-ladder moves that respect adjacency.
 _LADDER_MOVES = {
@@ -59,8 +67,60 @@ class ServerAuditor:
         self._models_version = getattr(policy.models, "version", 0)
         #: independently accredited BE work, per application
         self._be_credit: dict = {}
+        self._decisions = 0
 
     # -- per-decision hooks ----------------------------------------------------
+
+    def decide(self, now_ms: float, active, be_apps):
+        """Take the policy's decision, sampling it against the twin.
+
+        The twin runs first, from the state the real decision will see,
+        and leaves no trace.  Under a perturbed predictor the policy
+        already runs its reference path, and a recompute would draw
+        from the fault plan's RNG streams, so nothing is sampled.
+        """
+        policy = self.policy
+        twin = getattr(policy, "reference_decision", None)
+        sampled = (
+            twin is not None
+            and self._decisions % TWIN_EVERY == 0
+            and getattr(policy.models, "perturb", None) is None
+        )
+        self._decisions += 1
+        if not sampled:
+            return policy.decide(now_ms, active, be_apps)
+        reference = twin(now_ms, active, be_apps)
+        action = policy.decide(now_ms, active, be_apps)
+        self._check_twin(now_ms, action, reference)
+        return action
+
+    def _check_twin(self, now_ms: float, action, reference) -> None:
+        if action is None or reference is None:
+            core.ensure(
+                action is reference,
+                "decide-reference-twin",
+                "the table path and the reference twin disagree on "
+                "whether anything is runnable",
+                now_ms=now_ms, action=getattr(action, "kind", None),
+                reference=getattr(reference, "kind", None),
+            )
+            return
+        differing = [
+            field.name for field in dataclasses.fields(action)
+            if not _same(getattr(action, field.name),
+                         getattr(reference, field.name))
+        ]
+        core.note("decide-reference-twin")
+        if not differing:
+            return
+        name = differing[0]
+        core.fail(
+            "decide-reference-twin",
+            "the table path's action differs from the reference twin's",
+            now_ms=now_ms, fields=differing, kind=action.kind,
+            table=repr(getattr(action, name))[:120],
+            reference=repr(getattr(reference, name))[:120],
+        )
 
     def on_action(self, now_ms: float, action, active) -> None:
         """Audit one admitted scheduling decision before it executes."""
@@ -231,3 +291,15 @@ class ServerAuditor:
                 query_index=query_index, old=old, new=new,
                 risk=risk, rail=rail,
             )
+
+
+def _same(ours, theirs) -> bool:
+    """Exact equality of one action field: values compare with ``==``
+    (floats bit-for-bit up to signed zero), objects by identity."""
+    if isinstance(ours, (str, int, float)) or ours is None:
+        return type(ours) is type(theirs) and ours == theirs
+    if isinstance(ours, tuple) and isinstance(theirs, tuple):
+        return len(ours) == len(theirs) and all(
+            _same(a, b) for a, b in zip(ours, theirs)
+        )
+    return ours is theirs

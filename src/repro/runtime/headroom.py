@@ -56,6 +56,14 @@ def reservation_slack_ms(
     return slack
 
 
+def _reservation_entry():
+    global _ReservationEntry
+    if _ReservationEntry is None:
+        from ..telemetry.decisions import ReservationEntry
+        _ReservationEntry = ReservationEntry
+    return _ReservationEntry
+
+
 class HeadroomTracker:
     """Computes the schedulable BE headroom at a point in time."""
 
@@ -75,10 +83,14 @@ class HeadroomTracker:
         # cached suffix sum is stale and must be rebuilt.
         self._version = version
         self._version_seen = version() if version is not None else 0
+        # Identity of the current suffix table: each query pins its
+        # suffix next to this token, so a stale pin is one ``is`` away.
+        self._token = object()
 
     def invalidate(self) -> None:
         """Drop all cached suffix sums (call after any model refresh)."""
         self._suffix.clear()
+        self._token = object()
 
     def _sync_version(self) -> None:
         if self._version is None:
@@ -89,8 +101,19 @@ class HeadroomTracker:
             self.invalidate()
 
     def predicted_remaining_ms(self, query: Query) -> float:
-        """LR-predicted GPU time of a query's unexecuted kernels."""
+        """LR-predicted GPU time of a query's unexecuted kernels.
+
+        The suffix is shared by every query with the same kernel
+        sequence and pinned to each query on first use, so a repeat
+        lookup is a read at the query's cursor.
+        """
         self._sync_version()
+        pin = query._remaining_pin
+        if pin is None or pin[0] is not self._token:
+            pin = query._remaining_pin = (self._token, self._suffix_of(query))
+        return pin[1][query._cursor]
+
+    def _suffix_of(self, query: Query) -> list[float]:
         key = query.sequence_key
         suffix = self._suffix.get(key)
         if suffix is None:
@@ -99,7 +122,7 @@ class HeadroomTracker:
                 suffix.append(suffix[-1] + self._predict(instance))
             suffix.reverse()
             self._suffix[key] = suffix
-        return suffix[query.cursor]
+        return suffix
 
     def headroom_ms(self, now_ms: float, active: Sequence[Query]) -> float:
         """BE headroom given the FIFO set of active queries (Eq. 9).
@@ -123,6 +146,46 @@ class HeadroomTracker:
             reserved_ahead += remaining
         return slack
 
+    def headroom_and_reserved(
+        self, now_ms: float, active: Sequence[Query],
+        entries: Optional[list] = None,
+    ) -> tuple[float, float]:
+        """:meth:`headroom_ms` and the total reserved time, in one pass.
+
+        The scheduler's table path: the same left-to-right Eq. 9 loop
+        with the same expression order, reading each query's pinned
+        suffix with one version check for the whole pass.  The total
+        equals ``sum(predicted_remaining_ms(q) for q in active)``
+        (``0 + x == x``).  With ``entries``, one
+        :class:`repro.telemetry.ReservationEntry` per query is appended
+        to it, as :meth:`headroom_detail` builds them.
+        """
+        self._sync_version()
+        token = self._token
+        qos_ms = self.qos_ms
+        slack = float("inf")
+        reserved_ahead = 0.0
+        for query in active:
+            pin = query._remaining_pin
+            if pin is None or pin[0] is not token:
+                pin = query._remaining_pin = (token, self._suffix_of(query))
+            remaining = pin[1][query._cursor]
+            elapsed = now_ms - query.arrival_ms
+            own = qos_ms - elapsed - reserved_ahead - remaining
+            if entries is not None:
+                entries.append(_reservation_entry()(
+                    service=query.model.name,
+                    arrival_ms=query.arrival_ms,
+                    elapsed_ms=elapsed,
+                    remaining_ms=remaining,
+                    reserved_ahead_ms=reserved_ahead,
+                    slack_ms=own,
+                ))
+            if own < slack:  # min(slack, own), ties keep slack
+                slack = own
+            reserved_ahead += remaining
+        return slack, reserved_ahead
+
     def headroom_detail(
         self, now_ms: float, active: Sequence[Query]
     ) -> tuple[float, tuple]:
@@ -131,15 +194,11 @@ class HeadroomTracker:
         Returns ``(headroom, entries)`` where each entry is a
         :class:`repro.telemetry.ReservationEntry` — the elapsed time,
         predicted remaining work, reserved time ahead and resulting
-        slack for one active query.  Only called when telemetry is on;
-        the plain :meth:`headroom_ms` stays the hot path.
+        slack for one active query.  With :meth:`headroom_ms`, this is
+        the reference twin's Eq. 9; the scheduler's table path uses
+        :meth:`headroom_and_reserved`.
         """
-        global _ReservationEntry
-        if _ReservationEntry is None:
-            from ..telemetry.decisions import ReservationEntry
-            _ReservationEntry = ReservationEntry
-        ReservationEntry = _ReservationEntry
-
+        ReservationEntry = _reservation_entry()
         slack = float("inf")
         reserved_ahead = 0.0
         entries = []

@@ -78,6 +78,27 @@ class Action:
     #: (oracle corun policy, launch_a, launch_b, sorted param items)
     corun: Optional[tuple] = None
 
+    def __init__(
+        self, kind, query=None, be_app=None, fused=None,
+        predicted_lc_ms=0.0, predicted_be_ms=0.0, predicted_fused_ms=0.0,
+        be_app2=None, riders=(), corun=None,
+    ):
+        # One action is built per scheduling step.  The generated
+        # frozen __init__ pays an object.__setattr__ call per field,
+        # about 3x slower.  Filling the instance dict directly builds
+        # the same object, which stays frozen against later assignment.
+        state = self.__dict__
+        state["kind"] = kind
+        state["query"] = query
+        state["be_app"] = be_app
+        state["fused"] = fused
+        state["predicted_lc_ms"] = predicted_lc_ms
+        state["predicted_be_ms"] = predicted_be_ms
+        state["predicted_fused_ms"] = predicted_fused_ms
+        state["be_app2"] = be_app2
+        state["riders"] = riders
+        state["corun"] = corun
+
 
 # -- mispredict detection and graceful degradation ---------------------------
 
@@ -251,12 +272,35 @@ class SchedulerPolicy(ABC):
         #: per-run telemetry session the server attaches; None keeps
         #: every recording site a single attribute check
         self.telemetry = None
+        #: (kernel name, grid) -> predicted ms, valid for one model
+        #: version and only while predictions are unperturbed
+        self._predict_memo: dict[tuple[str, int], float] = {}
+        self._predict_memo_version = models.version
 
     # -- predictions -----------------------------------------------------------
 
     def predict_ms(self, instance: KernelInstance) -> float:
-        cycles = self.models.predict_kernel(instance.kernel, instance.grid)
-        return self.gpu.cycles_to_ms(cycles)
+        """Predicted solo duration of one kernel instance (ms).
+
+        Memoized per (kernel, grid) for one model version.  A
+        perturbed predictor (a fault plan's stateful RNG streams) is
+        asked on every call, so the draw sequence never changes.
+        """
+        models = self.models
+        if models.perturb is not None:
+            return self.gpu.cycles_to_ms(
+                models.predict_kernel(instance.kernel, instance.grid)
+            )
+        if self._predict_memo_version != models.version:
+            self._predict_memo.clear()
+            self._predict_memo_version = models.version
+        key = (instance.kernel.name, instance.grid)
+        predicted = self._predict_memo.get(key)
+        if predicted is None:
+            predicted = self._predict_memo[key] = self.gpu.cycles_to_ms(
+                models.predict_kernel(instance.kernel, instance.grid)
+            )
+        return predicted
 
     def predict_fused_ms(
         self, fused: FusedKernel, tc_ms: float, cd_ms: float
@@ -312,6 +356,37 @@ class SchedulerPolicy(ABC):
         )
 
     # -- telemetry --------------------------------------------------------------
+
+    def _eq9_thr(
+        self, now_ms: float, active: Sequence[Query], detail: bool,
+    ) -> tuple[float, Optional[ReservationRecord]]:
+        """``Thr`` from one Eq. 9 pass over the query pins (table path).
+
+        Bit-identical to :meth:`current_thr_ms` and
+        :meth:`_thr_with_reservation`: the guard margin reuses the pass's
+        reserved total, which equals their ``sum()`` of the same terms.
+        With ``detail`` the :class:`ReservationRecord` is built from the
+        same floats; otherwise it is None.
+        """
+        entries: Optional[list] = [] if detail else None
+        headroom, reserved = self.headroom.headroom_and_reserved(
+            now_ms, active, entries
+        )
+        if self.guard is None:
+            margin = 0.0
+            thr = headroom
+        else:
+            margin = self.guard.margin_ms(reserved)
+            thr = headroom - margin
+        if entries is None:
+            return thr, None
+        return thr, ReservationRecord(
+            qos_ms=self.headroom.qos_ms,
+            entries=tuple(entries),
+            headroom_ms=headroom,
+            guard_margin_ms=margin,
+            thr_ms=thr,
+        )
 
     def _thr_with_reservation(
         self, now_ms: float, active: Sequence[Query]
@@ -416,8 +491,12 @@ class SchedulerPolicy(ABC):
         the first kernel.
         """
         position = (query.qid, len(query.instances) - query.cursor)
-        if position != self._reordered_at:
-            for app in self._be_rotation(be_apps):
+        if position != self._reordered_at and be_apps:
+            # the _be_rotation order, without building the rotated list
+            count = len(be_apps)
+            start = self._rr % count
+            for offset in range(count):
+                app = be_apps[(start + offset) % count]
                 be_ms = self.predict_ms(app.head)
                 if be_ms < thr_ms:
                     self._rr += 1

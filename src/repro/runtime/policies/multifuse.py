@@ -104,83 +104,28 @@ class MultiFusePolicy(TackerPolicy):
             chain_end = new_chain_end
         return tuple(riders), chain_end, gain_ms
 
-    def decide(self, now_ms, active, be_apps):
-        self.decisions += 1
-        session = self.telemetry
-        if not active:
-            action = self._pure_be(be_apps)
-            if session is not None and action is not None:
-                self._record_decision(now_ms, action)
-            return action
-        query = active[0]
-        mode = "fuse"
-        guard_mode = None
-        if self.guard is not None:
-            self.guard.note_decision()
-            mode = guard_mode = self.guard.mode
-            if mode == "exclusive":
-                action = Action(
-                    kind="lc", query=query,
-                    predicted_lc_ms=self.predict_ms(query.current),
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, guard_mode=guard_mode,
-                    )
-                return action
-        reservation = None
-        if session is not None:
-            thr, reservation = self._thr_with_reservation(now_ms, active)
-        else:
-            thr = self.current_thr_ms(now_ms, active)
-        lc_instance = query.current
-        candidates: Optional[list] = [] if session is not None else None
-        if mode == "fuse" and (lc_instance.fusable or lc_instance.kind == "cd"):
-            best: Optional[tuple[float, Action]] = None
-            for app in be_apps:
-                scored = self._fusion_for(lc_instance, app, thr, candidates)
-                if scored is None or scored[0] <= 0:
-                    continue
-                if best is None or scored[0] > best[0]:
-                    best = scored
-            if best is not None:
-                self.fusions += 1
-                gain, action = best
-                riders, chain_ms, rider_gain = self._riders(
-                    lc_instance, action, thr, be_apps
-                )
-                rider_solo_ms = sum(
-                    self.oracle.solo_ms(app.head.kernel, app.head.grid)
-                    for app in riders
-                )
-                chosen = Action(
-                    kind="chain" if riders else "fused",
-                    query=query,
-                    be_app=action.be_app,
-                    fused=action.fused,
-                    riders=riders,
-                    predicted_lc_ms=action.predicted_lc_ms,
-                    predicted_be_ms=action.predicted_be_ms + rider_solo_ms,
-                    predicted_fused_ms=(
-                        chain_ms if riders else action.predicted_fused_ms
-                    ),
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, chosen, query=query, thr_ms=thr,
-                        candidates=candidates, reservation=reservation,
-                        gain_ms=gain + rider_gain, guard_mode=guard_mode,
-                    )
-                return chosen
-        reserve = self._fusion_reserve_ms(query, be_apps)
-        action = self._reorder_or_lc(query, be_apps, thr - reserve)
-        if session is not None:
-            self._record_decision(
-                now_ms, action, query=query, thr_ms=thr, reserve_ms=reserve,
-                candidates=candidates or (), reservation=reservation,
-                guard_mode=guard_mode,
-            )
-        return action
+    def _extend_fusion(self, lc_instance, pair, gain_ms, thr_ms, be_apps):
+        """Grow the admitted pair into a chain when riders fit."""
+        riders, chain_ms, rider_gain = self._riders(
+            lc_instance, pair, thr_ms, be_apps
+        )
+        if not riders:
+            return pair, gain_ms
+        rider_solo_ms = sum(
+            self.oracle.solo_ms(app.head.kernel, app.head.grid)
+            for app in riders
+        )
+        chain = Action(
+            kind="chain",
+            query=pair.query,
+            be_app=pair.be_app,
+            fused=pair.fused,
+            riders=riders,
+            predicted_lc_ms=pair.predicted_lc_ms,
+            predicted_be_ms=pair.predicted_be_ms + rider_solo_ms,
+            predicted_fused_ms=chain_ms,
+        )
+        return chain, gain_ms + rider_gain
 
 
 def _factory(system, guard):

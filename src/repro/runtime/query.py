@@ -56,6 +56,22 @@ class Query:
         self._cursor = 0
         self._sequence_key: Optional[str] = None
         self.finish_ms: Optional[float] = None
+        #: cursor-indexed suffixes the scheduler pins to the query:
+        #: ``(owner token, suffix)`` for the Eq. 9 predicted remaining
+        #: time and ``(owner token, BE names, suffix)`` for the fusion
+        #: reserve.  The token changes whenever the owner's tables are
+        #: rebuilt (model refit), which invalidates the pin.
+        self._remaining_pin: Optional[tuple] = None
+        self._reserve_pin: Optional[tuple] = None
+
+    def __getstate__(self) -> dict:
+        # The pins are caches owned by one server's scheduler: a pickled
+        # query (a fleet hand-off, a worker result) must not drag them
+        # along.
+        state = dict(self.__dict__)
+        state["_remaining_pin"] = None
+        state["_reserve_pin"] = None
+        return state
 
     @property
     def cursor(self) -> int:
@@ -96,13 +112,15 @@ class Query:
     def remaining(self) -> tuple[KernelInstance, ...]:
         return self.instances[self._cursor:]
 
-    def advance(self, now_ms: float) -> None:
-        """Mark the current kernel complete."""
-        if self.done:
+    def advance(self, now_ms: float) -> bool:
+        """Mark the current kernel complete; True when it was the last."""
+        if self._cursor >= len(self.instances):
             raise SchedulingError(f"query {self.qid} already complete")
         self._cursor += 1
-        if self.done:
-            self.finish_ms = now_ms
+        if self._cursor < len(self.instances):
+            return False
+        self.finish_ms = now_ms
+        return True
 
     @property
     def latency_ms(self) -> float:

@@ -212,6 +212,9 @@ class ColocationServer:
         #: telemetry session publishes (e.g. ``{"node": "node2"}``)
         self.metric_labels = dict(metric_labels or {})
         self._guard_seen = 0
+        #: (sequence key, cursor) -> ground-truth remaining GPU time;
+        #: the oracle's solo durations are fixed for one server
+        self._true_remaining: dict[tuple[str, int], float] = {}
 
     def run(
         self,
@@ -325,7 +328,10 @@ class ColocationServer:
                 active.append(next_query)
                 next_query = next(queries, None)
 
-            action = self.policy.decide(now, active, be_apps)
+            if self._auditor is None:
+                action = self.policy.decide(now, active, be_apps)
+            else:
+                action = self._auditor.decide(now, active, be_apps)
             if action is None:
                 if next_query is not None:
                     now = next_query.arrival_ms
@@ -365,11 +371,19 @@ class ColocationServer:
     # -- admission control ----------------------------------------------------
 
     def _true_remaining_ms(self, query: Query) -> float:
-        """Ground-truth GPU time of a query's unexecuted kernels."""
-        return sum(
-            self.oracle.solo_ms(inst.kernel, inst.grid)
-            for inst in query.remaining
-        )
+        """Ground-truth GPU time of a query's unexecuted kernels.
+
+        Memoized per (kernel sequence, cursor); each value is the
+        left-to-right sum over the remaining kernels.
+        """
+        key = (query.sequence_key, query._cursor)
+        remaining = self._true_remaining.get(key)
+        if remaining is None:
+            remaining = self._true_remaining[key] = sum(
+                self.oracle.solo_ms(inst.kernel, inst.grid)
+                for inst in query.remaining
+            )
+        return remaining
 
     def true_headroom_ms(self, now: float, active: list[Query]) -> float:
         """Eq. 9 headroom computed from *actual* durations, not predictions.
@@ -457,23 +471,24 @@ class ColocationServer:
         self, query: Query, end: float, active: list[Query],
         result: ServerResult,
     ) -> None:
-        query.advance(end)
-        if query.done:
-            active.remove(query)
-            result.note_query_latency(query.model.name, query.latency_ms, end)
-            self.policy.note_query_done(query.latency_ms)
-            if self._telemetry is not None:
-                self._telemetry.note_query_complete(query, end)
-            if self.monitor is not None:
-                guard = self.policy.guard
-                self.monitor.note_query(
-                    query.model.name, query.arrival_ms, query.latency_ms,
-                    end,
-                    guard_mode=guard.mode if guard is not None else "fuse",
-                    guard_risk=guard.risk if guard is not None else 0.0,
-                    penalty_ms=getattr(query, "penalty_ms", 0.0),
-                )
-                self._sync_guard(end)
+        if not query.advance(end):
+            return
+        active.remove(query)
+        latency = query.latency_ms
+        result.note_query_latency(query.model.name, latency, end)
+        self.policy.note_query_done(latency)
+        if self._telemetry is not None:
+            self._telemetry.note_query_complete(query, end)
+        if self.monitor is not None:
+            guard = self.policy.guard
+            self.monitor.note_query(
+                query.model.name, query.arrival_ms, latency,
+                end,
+                guard_mode=guard.mode if guard is not None else "fuse",
+                guard_risk=guard.risk if guard is not None else 0.0,
+                penalty_ms=getattr(query, "penalty_ms", 0.0),
+            )
+            self._sync_guard(end)
 
     def _note_outcome(
         self, kind: str, name: str, predicted: float, actual: float,
@@ -509,18 +524,20 @@ class ColocationServer:
 
     def _run_lc(self, action, now, active, result) -> float:
         query = action.query
-        instance = query.current
-        if self._telemetry is not None and query.cursor == 0:
+        cursor = query._cursor
+        instance = query.instances[cursor]
+        if cursor == 0 and self._telemetry is not None:
             self._telemetry.note_first_launch(query.qid, now)
-        duration = self.oracle.solo_ms(instance.kernel, instance.grid)
+        kernel = instance.kernel
+        duration = self.oracle.solo_ms(kernel, instance.grid)
         end = now + duration
-        tc_end = end if instance.kind == "tc" else now
-        cd_end = end if instance.kind == "cd" else now
-        self._record(result, now, end, "lc", instance.name, tc_end, cd_end,
+        tc_end = end if kernel.kind == "tc" else now
+        cd_end = end if kernel.kind == "cd" else now
+        self._record(result, now, end, "lc", kernel.name, tc_end, cd_end,
                      query.model.name)
         result.n_lc_kernels += 1
         self._note_outcome(
-            "lc", instance.name, action.predicted_lc_ms, duration, end
+            "lc", kernel.name, action.predicted_lc_ms, duration, end
         )
         self._finish_query_kernel(query, end, active, result)
         return end
