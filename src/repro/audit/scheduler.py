@@ -131,49 +131,56 @@ class ServerAuditor:
             # restarts from the post-refresh values.
             self._models_version = version
             self._remaining.clear()
+        # The per-decision and per-kernel hooks count each check with
+        # core.note and build the failure context only when it fails:
+        # the same counts as core.ensure, without a kwargs dict per pass.
         for query in active:
             remaining = self.policy.headroom.predicted_remaining_ms(query)
-            core.ensure(
-                remaining >= -self._tol,
-                "eq9-reservation",
-                "negative predicted remaining time reserved for a query",
-                qid=query.qid, now_ms=now_ms, remaining_ms=remaining,
-            )
+            core.note("eq9-reservation")
+            if not remaining >= -self._tol:
+                core.fail(
+                    "eq9-reservation",
+                    "negative predicted remaining time reserved for a query",
+                    qid=query.qid, now_ms=now_ms, remaining_ms=remaining,
+                )
             last = self._remaining.get(query.qid)
             if last is not None:
-                core.ensure(
-                    remaining <= last + self._tol,
-                    "eq9-reservation",
-                    "a query's Eq. 9 reservation grew without a model "
-                    "refresh (stale or colliding headroom cache)",
-                    qid=query.qid, now_ms=now_ms,
-                    remaining_ms=remaining, previous_ms=last,
-                )
+                core.note("eq9-reservation")
+                if not remaining <= last + self._tol:
+                    core.fail(
+                        "eq9-reservation",
+                        "a query's Eq. 9 reservation grew without a model "
+                        "refresh (stale or colliding headroom cache)",
+                        qid=query.qid, now_ms=now_ms,
+                        remaining_ms=remaining, previous_ms=last,
+                    )
             self._remaining[query.qid] = remaining
         if action.kind == "fused":
             self._check_eq8(now_ms, action, active)
 
     def _check_eq8(self, now_ms: float, action, active) -> None:
         sequential = action.predicted_lc_ms + action.predicted_be_ms
-        core.ensure(
-            sequential > action.predicted_fused_ms - self._tol,
-            "eq8-at-decision",
-            "a fused launch was predicted slower than sequential "
-            "execution (Eq. 8 gain condition)",
-            fused_name=getattr(action.fused, "name", None),
-            predicted_fused_ms=action.predicted_fused_ms,
-            predicted_sequential_ms=sequential,
-        )
+        core.note("eq8-at-decision")
+        if not sequential > action.predicted_fused_ms - self._tol:
+            core.fail(
+                "eq8-at-decision",
+                "a fused launch was predicted slower than sequential "
+                "execution (Eq. 8 gain condition)",
+                fused_name=getattr(action.fused, "name", None),
+                predicted_fused_ms=action.predicted_fused_ms,
+                predicted_sequential_ms=sequential,
+            )
         thr_ms = self.policy.current_thr_ms(now_ms, active)
         extra_lc_ms = action.predicted_fused_ms - action.predicted_lc_ms
-        core.ensure(
-            extra_lc_ms < thr_ms + self._tol,
-            "eq8-at-decision",
-            "a fused launch's extra LC time exceeds the headroom "
-            "threshold it was admitted under (Eq. 8 Thr condition)",
-            fused_name=getattr(action.fused, "name", None),
-            extra_lc_ms=extra_lc_ms, thr_ms=thr_ms, now_ms=now_ms,
-        )
+        core.note("eq8-at-decision")
+        if not extra_lc_ms < thr_ms + self._tol:
+            core.fail(
+                "eq8-at-decision",
+                "a fused launch's extra LC time exceeds the headroom "
+                "threshold it was admitted under (Eq. 8 Thr condition)",
+                fused_name=getattr(action.fused, "name", None),
+                extra_lc_ms=extra_lc_ms, thr_ms=thr_ms, now_ms=now_ms,
+            )
 
     # -- per-kernel hooks ------------------------------------------------------
 
@@ -181,31 +188,34 @@ class ServerAuditor:
                   name: str) -> None:
         """Audit one executed kernel's interval on the GPU timeline."""
         self._kernels_seen += 1
-        core.ensure(
-            end_ms >= start_ms,
-            "busy-timeline-monotone",
-            "an executed kernel ends before it starts",
-            kernel=name, kind=kind, start_ms=start_ms, end_ms=end_ms,
-        )
-        core.ensure(
-            start_ms >= self._last_end_ms - self._tol,
-            "busy-timeline-monotone",
-            "an executed kernel overlaps its predecessor on the "
-            "non-preemptive GPU",
-            kernel=name, kind=kind, start_ms=start_ms,
-            previous_end_ms=self._last_end_ms,
-        )
+        core.note("busy-timeline-monotone")
+        if not end_ms >= start_ms:
+            core.fail(
+                "busy-timeline-monotone",
+                "an executed kernel ends before it starts",
+                kernel=name, kind=kind, start_ms=start_ms, end_ms=end_ms,
+            )
+        core.note("busy-timeline-monotone")
+        if not start_ms >= self._last_end_ms - self._tol:
+            core.fail(
+                "busy-timeline-monotone",
+                "an executed kernel overlaps its predecessor on the "
+                "non-preemptive GPU",
+                kernel=name, kind=kind, start_ms=start_ms,
+                previous_end_ms=self._last_end_ms,
+            )
         self._last_end_ms = max(self._last_end_ms, end_ms)
 
     def on_be_retired(self, app_name: str, solo_ms: float,
                       end_ms: float) -> None:
         """Accredit one retired BE kernel in the auditor's own books."""
-        core.ensure(
-            solo_ms >= 0,
-            "be-work-conservation",
-            "a BE kernel retired with negative solo work",
-            app=app_name, solo_ms=solo_ms,
-        )
+        core.note("be-work-conservation")
+        if not solo_ms >= 0:
+            core.fail(
+                "be-work-conservation",
+                "a BE kernel retired with negative solo work",
+                app=app_name, solo_ms=solo_ms,
+            )
         if end_ms <= self.horizon_ms:
             self._be_credit[app_name] = (
                 self._be_credit.get(app_name, 0.0) + solo_ms

@@ -157,7 +157,7 @@ def _merge_store_snapshots(snapshots: Iterable[dict[str, dict]]) -> None:
                     store.solo.update(sections["solo"])
                     store.fused.update(sections["fused"])
                     if len(store) != before:
-                        store._dirty = True
+                        store.mark_dirty()
 
 
 def parallel_map(

@@ -19,7 +19,7 @@ the runtime looks fused kernels up by (TC kernel, CD kernel) name pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .fuser import FusedKernel
 from .search import FusionDecision
@@ -71,7 +71,7 @@ class FusionCompiler:
         """Materialize a search decision; returns None for unfusable pairs."""
         key = (decision.tc_name, decision.cd_name)
         if not decision.should_fuse:
-            self._rejected.add(key)
+            self.reject(*key)
             return None
         if key in self._artifacts:
             return self._artifacts[key]
@@ -85,9 +85,18 @@ class FusionCompiler:
             library_bytes=_LIBRARY_BASE_BYTES + lines * _LIBRARY_BYTES_PER_LINE,
             compile_ms=_COMPILE_BASE_MS + lines * _COMPILE_MS_PER_LINE,
         )
-        self._artifacts[key] = artifact
-        self.total_compile_ms += artifact.compile_ms
+        self.register(artifact)
         return artifact
+
+    def register(self, artifact: FusedArtifact) -> None:
+        """Add an artifact, compiled here or by an earlier compiler of
+        the same pair, charging its compile time to this cache."""
+        self._artifacts[artifact.key] = artifact
+        self.total_compile_ms += artifact.compile_ms
+
+    def reject(self, tc_name: str, cd_name: str) -> None:
+        """Record a pair the search found faster run sequentially."""
+        self._rejected.add((tc_name, cd_name))
 
     def lookup(self, tc_name: str, cd_name: str) -> Optional[FusedArtifact]:
         """Runtime lookup; None when the pair is unknown or unfusable."""

@@ -59,6 +59,14 @@ class _Stage:
     def fit(self) -> None:
         self.line = LinearModel.fit(self.ratios, self.norm_durations)
 
+    def copy(self) -> "_Stage":
+        return _Stage(list(self.ratios), list(self.norm_durations),
+                      self.line)
+
+    def fit_state(self) -> tuple:
+        return (tuple(self.ratios), tuple(self.norm_durations),
+                self.line.slope, self.line.intercept)
+
 
 class FusedDurationModel:
     """Two-stage LR model of one fused kernel's duration.
@@ -89,6 +97,27 @@ class FusedDurationModel:
         self._inflection: Optional[float] = None
         #: number of online refits performed (for the overhead study)
         self.update_count = 0
+
+    def copy(
+        self,
+        tc_model: KernelDurationModel,
+        cd_model: KernelDurationModel,
+        oracle=None,
+    ) -> "FusedDurationModel":
+        """A private copy over the given component models: online refits
+        of the copy never reach this model, and vice versa."""
+        twin = FusedDurationModel(self.fused, tc_model, cd_model,
+                                  noise=self.noise, oracle=oracle)
+        twin._before = self._before.copy()
+        twin._after = self._after.copy()
+        twin._inflection = self._inflection
+        twin.update_count = self.update_count
+        return twin
+
+    def fit_state(self) -> tuple:
+        """Everything training produced: both stages and the inflection."""
+        return (self._before.fit_state(), self._after.fit_state(),
+                self.opportune_load_ratio)
 
     # -- profiling ------------------------------------------------------------
 

@@ -118,6 +118,20 @@ class KernelDurationModel:
         """Predicted duration in cycles for a launch of ``grid`` blocks."""
         return max(0.0, self.model.predict(float(grid)))
 
+    def copy(self, oracle=None) -> "KernelDurationModel":
+        """A private copy profiling through ``oracle``; it shares only
+        immutable state (the kernel, the noise, the fitted line)."""
+        twin = KernelDurationModel(self.kernel, noise=self.noise,
+                                   oracle=oracle)
+        twin._model = self._model
+        twin._samples = list(self._samples)
+        return twin
+
+    def fit_state(self) -> tuple:
+        """Everything training produced: the samples and the line."""
+        line = self.model
+        return (tuple(self._samples), line.slope, line.intercept)
+
     def evaluate(
         self, gpu: GPUConfig, grids: Sequence[int]
     ) -> dict[str, float]:

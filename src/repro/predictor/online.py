@@ -27,6 +27,13 @@ ERROR_EWMA_ALPHA = 0.15
 #: Installed by the fault-injection harness; None = exact predictions.
 Perturbation = Callable[[str, float], float]
 
+#: Where untrained kernel models come from: called with the kernel and
+#: this manager's own trainer, it returns a model private to the caller.
+KernelSource = Callable[
+    [KernelIR, Callable[[KernelIR], KernelDurationModel]],
+    KernelDurationModel,
+]
+
 
 class PredictionErrorTracker:
     """Online EWMA of relative prediction error, per kernel and overall.
@@ -103,6 +110,11 @@ class OnlineModelManager:
         self._predict_memo_version = 0
         #: online predicted-vs-actual error bands (fed by the server)
         self.errors = PredictionErrorTracker()
+        #: optional source of kernel models trained elsewhere (a
+        #: system's offline catalog); None trains every model here
+        self.kernel_source: Optional[KernelSource] = None
+        #: set once :meth:`load` restored a model from a bundle
+        self.bundle_loaded = False
         #: monotone counter bumped whenever any model's coefficients
         #: change after initial training (online refit, bundle load).
         #: Consumers that cache predictions — the headroom tracker's
@@ -116,11 +128,18 @@ class OnlineModelManager:
         """The (lazily trained) duration model of one kernel."""
         model = self._kernel_models.get(kernel.name)
         if model is None:
-            model = KernelDurationModel(
-                kernel, noise=self._noise, oracle=self._oracle
-            )
-            model.train(self._gpu)
+            if self.kernel_source is None:
+                model = self._train_kernel_model(kernel)
+            else:
+                model = self.kernel_source(kernel, self._train_kernel_model)
             self._kernel_models[kernel.name] = model
+        return model
+
+    def _train_kernel_model(self, kernel: KernelIR) -> KernelDurationModel:
+        model = KernelDurationModel(
+            kernel, noise=self._noise, oracle=self._oracle
+        )
+        model.train(self._gpu)
         return model
 
     def predict_kernel(self, kernel: KernelIR, grid: int) -> float:
@@ -153,6 +172,28 @@ class OnlineModelManager:
                 oracle=self._oracle,
             )
             model.train(self._gpu)
+            self._fused_models[key] = model
+            self.total_training_ms += FUSED_MODEL_TRAIN_MS
+        return model
+
+    def install_fused_model(
+        self, trained: FusedDurationModel
+    ) -> FusedDurationModel:
+        """Adopt a private copy of a fused model trained elsewhere.
+
+        The copy sits over this manager's own component models and
+        oracle, so its online refits stay here; the modelled training
+        time is charged as if it had been trained here.
+        """
+        fused = trained.fused
+        key = (fused.tc.ir.name, fused.cd.ir.name)
+        model = self._fused_models.get(key)
+        if model is None:
+            model = trained.copy(
+                tc_model=self.kernel_model(fused.tc.ir),
+                cd_model=self.kernel_model(fused.cd.ir),
+                oracle=self._oracle,
+            )
             self._fused_models[key] = model
             self.total_training_ms += FUSED_MODEL_TRAIN_MS
         return model
@@ -255,4 +296,5 @@ class OnlineModelManager:
             restored += 1
         if restored:
             self.version += 1
+            self.bundle_loaded = True
         return restored

@@ -535,7 +535,12 @@ def run_epoch_node(spec: EpochNodeSpec) -> EpochNodeStats:
 
     A *fresh* :class:`TackerSystem` per task keeps repeated runs
     byte-identical regardless of worker count (online model state
-    never leaks across epochs or nodes).  The epoch folds into a
+    never leaks across epochs or nodes).  Its ``prepare_pair`` is
+    cheap after the process's first epoch: the per-process offline
+    catalog installs the searched, compiled and trained pairs, with
+    private copies of the models, so refits stay in this epoch's
+    system and a worker's catalog contents never change what it
+    computes.  The epoch folds into a
     :class:`~repro.runtime.replay.StreamingResult`, so a 100-node
     fleet ships sketches and counters back, not latency lists.
     """

@@ -84,6 +84,22 @@ def default_cache_dir() -> Optional[Path]:
     return Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
+#: Stores with unsaved entries, in the order they first became dirty.
+#: Only these are held strongly, so a clean store (and its decoded
+#: entries) is freed with the last oracle that uses it.
+_DIRTY_STORES: dict = {}
+
+
+def _save_dirty_stores() -> None:
+    """Exit hook: persist whatever this process simulated, even if
+    nobody called ``save()`` explicitly."""
+    for store in list(_DIRTY_STORES):
+        store.save()
+
+
+atexit.register(_save_dirty_stores)
+
+
 class OracleStore:
     """On-disk duration cache shared by every oracle of one GPU config.
 
@@ -102,9 +118,6 @@ class OracleStore:
         #: new entries since load/save exist (controls whether save writes)
         self._dirty = False
         self.load()
-        # Persist whatever this process simulated even if nobody calls
-        # save() explicitly; save() merges and is a no-op when clean.
-        atexit.register(self.save)
 
     @classmethod
     def for_gpu(
@@ -172,16 +185,23 @@ class OracleStore:
             self.solo = merged_solo
             self.fused = merged_fused
             self._dirty = False
+            _DIRTY_STORES.pop(self, None)
         except OSError:
             # Persistence is an optimization; never let it break a run.
             pass
+
+    def mark_dirty(self) -> None:
+        """Record unsaved entries; the store is then kept alive until it
+        is saved, at the latest by the exit hook."""
+        self._dirty = True
+        _DIRTY_STORES[self] = None
 
     def merge(self, other: "OracleStore") -> None:
         """Absorb another store's entries (parallel-worker join)."""
         if other.solo or other.fused:
             self.solo.update(other.solo)
             self.fused.update(other.fused)
-            self._dirty = True
+            self.mark_dirty()
 
     def __len__(self) -> int:
         return len(self.solo) + len(self.fused)
@@ -214,7 +234,8 @@ class DurationOracle:
 
     # -- keys ----------------------------------------------------------------
 
-    def _signature(self, kernel: KernelIR) -> str:
+    def kernel_signature(self, kernel: KernelIR) -> str:
+        """The kernel's content digest, computed once per name."""
         sig = self._signatures.get(kernel.name)
         if sig is None:
             sig = _kernel_signature(kernel)
@@ -222,12 +243,12 @@ class DurationOracle:
         return sig
 
     def _solo_store_key(self, kernel: KernelIR, grid: int) -> str:
-        return f"{kernel.name}|{self._signature(kernel)}|{grid}"
+        return f"{kernel.name}|{self.kernel_signature(kernel)}|{grid}"
 
     def _fused_signature(self, fused: FusedKernel) -> str:
         payload = (
-            f"{fused.name}|{self._signature(fused.tc.ir)}"
-            f"|{self._signature(fused.cd.ir)}"
+            f"{fused.name}|{self.kernel_signature(fused.tc.ir)}"
+            f"|{self.kernel_signature(fused.cd.ir)}"
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -264,7 +285,7 @@ class DurationOracle:
         self._launches[key] = cycles
         if self.store is not None:
             self.store.solo[f"launch|{key}"] = cycles
-            self.store._dirty = True
+            self.store.mark_dirty()
         return cycles
 
     # -- solo ----------------------------------------------------------------
@@ -292,7 +313,7 @@ class DurationOracle:
         self._solo_cycles[key] = cycles
         if self.store is not None:
             self.store.solo[self._solo_store_key(kernel, grid)] = cycles
-            self.store._dirty = True
+            self.store.mark_dirty()
         return cycles
 
     def solo_ms(self, kernel: KernelIR, grid: Optional[int] = None) -> float:
@@ -353,7 +374,7 @@ class DurationOracle:
                 result.finish_a_cycles,
                 result.finish_b_cycles,
             ]
-            self.store._dirty = True
+            self.store.mark_dirty()
         return result
 
     def fused(
@@ -455,7 +476,7 @@ class DurationOracle:
                 result.finish_a_cycles,
                 result.finish_b_cycles,
             ]
-            self.store._dirty = True
+            self.store.mark_dirty()
         return result
 
     # -- persistence ---------------------------------------------------------

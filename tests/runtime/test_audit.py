@@ -15,9 +15,12 @@ from repro.gpusim import fastpath
 from repro.gpusim.gpu import run_blocks
 from repro.gpusim.trace import Timeline
 from repro.kernels.parboil import mriq
+from repro.models.zoo import model_by_name
 from repro.runtime.policies import GuardConfig, MispredictGuard
+from repro.runtime.replay import load_scenario, serve_trace, synthesize_trace
 from repro.runtime.server import ColocationServer, ServerResult
-from repro.runtime.system import TackerSystem
+from repro.runtime.system import TackerSystem, clear_offline_catalog
+from repro.runtime.workload import be_application
 
 
 @pytest.fixture(autouse=True)
@@ -266,6 +269,57 @@ class TestEndToEnd:
         system = TackerSystem(audit=True)
         with pytest.raises(AuditViolation, match="busy-timeline-monotone"):
             system.run_pair("resnet50", "fft", n_queries=5)
+
+    def test_steady_run_counts_match_golden_summary(self):
+        """Every check of an audited steady serve, counted exactly as
+        when each hook passed its context to ``core.ensure``."""
+        if not fastpath.enabled():
+            pytest.skip("fast path disabled via REPRO_FASTPATH")
+        clear_offline_catalog()  # prepare cold: no twin checks
+        audit.enable()
+        scenario = load_scenario("steady")
+        system = TackerSystem(config=scenario.run_config(), store=None)
+        for lc_name in scenario.lc_services:
+            for be_name in scenario.be_apps:
+                system.prepare_pair(
+                    model_by_name(lc_name),
+                    be_application(be_name, system.library),
+                )
+        trace = synthesize_trace(
+            scenario, system.library, system.oracle, n_queries=60
+        )
+        serve_trace(system, trace, scenario.be_apps, "tacker")
+        assert audit.summary() == {
+            "be-work-conservation": 3358,
+            "block-retire-once": 16,
+            "busy-timeline-monotone": 17875,
+            "decide-reference-twin": 140,
+            "engine-equivalence": 30,
+            "eq8-at-decision": 1078,
+            "eq9-reservation": 14990,
+            "event-monotone": 28034,
+            "group-finish-bounded": 894,
+            "kernel-count-conservation": 1,
+            "pipe-timeline-disjoint": 41712,
+            "pipe-within-run": 618,
+            "sm-occupancy": 1545,
+        }
+
+    def test_failing_checks_count_like_ensure(self):
+        auditor, _ = make_auditor(remaining={7: -1.0})
+        auditor.on_kernel(0.0, 10.0, "lc", "a")
+        with pytest.raises(AuditViolation):
+            auditor.on_kernel(9.0, 12.0, "lc", "b")  # passes 1, fails 1
+        with pytest.raises(AuditViolation):
+            auditor.on_be_retired("fft", -1.0, end_ms=1.0)
+        with pytest.raises(AuditViolation):
+            auditor.on_action(0.0, SimpleNamespace(kind="lc"),
+                              [SimpleNamespace(qid=7)])
+        assert audit.summary() == {
+            "be-work-conservation": 1,
+            "busy-timeline-monotone": 4,
+            "eq9-reservation": 1,
+        }
 
     def test_audit_flag_overrides_global_switch(self):
         # audit never enabled globally; the system-level flag suffices

@@ -31,7 +31,7 @@ from repro.runtime import oracle as oracle_module
 from repro.runtime.oracle import DurationOracle, OracleStore
 from repro.runtime.policies.hfuse import HFusePolicy
 from repro.runtime.replay import load_scenario, serve_trace, synthesize_trace
-from repro.runtime.system import TackerSystem
+from repro.runtime.system import TackerSystem, clear_offline_catalog
 from repro.runtime.workload import be_application
 
 QUERIES = 60
@@ -151,6 +151,9 @@ def prepared_system(be_names):
 
 
 def serve_hfuse(be_names=("sgemm", "mriq")):
+    # Each arm prepares from an empty offline catalog, so both pay the
+    # same preparation lookups and their oracle counters compare.
+    clear_offline_catalog()
     system, trace = prepared_system(be_names)
     result = serve_trace(system, trace, be_names, "hfuse")
     oracle = system.oracle

@@ -1,6 +1,13 @@
 """Tests for the duration oracle."""
 
 import dataclasses
+import gc
+import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +16,7 @@ from repro.fusion.search import FusionSearch
 from repro.kernels.gemm import canonical_gemms
 from repro.kernels.parboil import fft, mriq
 from repro.runtime.oracle import CACHE_ENV, DurationOracle, OracleStore
+from repro.runtime.system import TackerSystem
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +216,39 @@ class TestPersistence:
     def test_env_kill_switch(self, gpu, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, "0")
         assert OracleStore.for_gpu(gpu, directory=tmp_path) is None
+
+
+class TestStoreLifetime:
+    """Only dirty stores are pinned until exit; flushed ones are freed."""
+
+    def test_flushed_stores_of_dropped_systems_are_freed(self, gpu,
+                                                         tmp_path):
+        refs = []
+        for grid in (100, 200, 300):
+            system = TackerSystem(
+                gpu, store=OracleStore.for_gpu(gpu, directory=tmp_path)
+            )
+            system.oracle.solo_ms(mriq(), grid)  # a miss dirties it
+            assert system.oracle.store._dirty
+            system.flush()
+            refs.append(weakref.ref(system.oracle.store))
+            del system
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_dirty_store_saved_at_exit_without_flush(self, gpu, tmp_path):
+        path = tmp_path / "oracle.json"
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "from repro.config import RTX2080TI\n"
+            "from repro.kernels.parboil import mriq\n"
+            "from repro.runtime.oracle import DurationOracle, OracleStore\n"
+            f"store = OracleStore({str(path)!r})\n"
+            "DurationOracle(RTX2080TI, store=store).solo_ms(mriq(), 123)\n"
+            "assert store._dirty\n"
+            "del store\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        saved = json.loads(path.read_text())
+        assert any(key.endswith("|123") for key in saved["solo"])

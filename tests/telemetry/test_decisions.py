@@ -1,10 +1,16 @@
 """Tests for the decision log records and JSONL round-trip."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.gpusim import fastpath
+from repro.models.zoo import model_by_name
+from repro.runtime.replay import load_scenario, serve_trace, synthesize_trace
+from repro.runtime.system import TackerSystem
+from repro.runtime.workload import be_application
 from repro.telemetry import (
     DecisionRecord,
     FusionCandidate,
@@ -55,6 +61,32 @@ class TestRecords:
         chosen = fused_record().chosen_candidate()
         assert chosen.gain_ms == pytest.approx(
             chosen.tcd_ms - (chosen.tk_fuse_ms - chosen.ttc_ms)
+        )
+
+
+class TestServedLog:
+    def test_served_decision_log_bytes_pinned(self):
+        """A served steady trace's decision log, byte for byte."""
+        if not fastpath.enabled():
+            pytest.skip("fast path disabled via REPRO_FASTPATH")
+        scenario = load_scenario("steady")
+        system = TackerSystem(
+            config=scenario.run_config(), telemetry=True, store=None
+        )
+        for lc_name in scenario.lc_services:
+            for be_name in scenario.be_apps:
+                system.prepare_pair(
+                    model_by_name(lc_name),
+                    be_application(be_name, system.library),
+                )
+        trace = synthesize_trace(
+            scenario, system.library, system.oracle, n_queries=40
+        )
+        result = serve_trace(system, trace, scenario.be_apps, "tacker")
+        text = result.telemetry.decision_jsonl()
+        assert len(text.splitlines()) == 5922
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a7949036b13df723dedb61c3b726e054f9e779f289f2b78e4f1cd70b5a9d6d69"
         )
 
 
